@@ -33,7 +33,8 @@ let run (w : H.workload) _nviews_list =
     (Sys.time () -. t0, !acc)
   in
   let t_tree, c_tree =
-    time (fun q -> Mv_core.Filter_tree.candidates registry.Mv_core.Registry.tree q)
+    let tree = (Mv_core.Registry.snapshot registry).Mv_core.Registry.snap_tree in
+    time (fun q -> Mv_core.Filter_tree.candidates tree q)
   in
   let t_lin, c_lin = time (linear_candidates w.H.views) in
   let nq = List.length queries in

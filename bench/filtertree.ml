@@ -10,12 +10,19 @@
     [timed_passes] passes over the whole query batch are timed and the
     reported wall time is the per-pass average — candidate selection at
     1000 views is a ~10ms-per-batch affair, so single-shot timings are
-    dominated by warmup noise. *)
+    dominated by warmup noise.
+
+    Write latency against population size: after the read passes,
+    [write_cycles] drops and re-adds of seeded-random views are each timed
+    on the monotonic clock and their median is reported as [write.p50_s]
+    (every registry write publishes a new state, DESIGN.md §10). *)
 
 module H = Mv_experiments.Harness
 module J = Mv_obs.Json
 
 let timed_passes = 5
+
+let write_cycles = 200
 
 type plan_result = {
   plan_name : string;
@@ -23,14 +30,35 @@ type plan_result = {
   candidates : int;  (** final candidates summed over all queries *)
   wall_time_s : float;  (** per-pass average over [timed_passes] *)
   levels : H.level_flow list;
+  write_p50_s : float;  (** median drop+re-add; 0 for an empty population *)
 }
+
+(* Median wall time of [write_cycles] drop+re-add cycles of seeded-random
+   views; the population is the same after every cycle. *)
+let time_writes registry views =
+  let views = Array.of_list views in
+  if views = [||] then 0.0
+  else begin
+    let rng = Random.State.make [| 17 |] in
+    let samples =
+      Array.init write_cycles (fun _ ->
+          let v = views.(Random.State.int rng (Array.length views)) in
+          let t0 = Monotonic_clock.now () in
+          Mv_core.Registry.remove_view registry v.Mv_core.View.name;
+          Mv_core.Registry.add_prebuilt registry v;
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+    in
+    Array.sort compare samples;
+    samples.(write_cycles / 2)
+  end
 
 let run_plan ?(domains = 1) ~backjoins ~nviews (w : H.workload)
     (queries : Mv_relalg.Analysis.t list) : plan_result =
   let registry =
     Mv_core.Registry.create ~use_filter:true ~backjoins w.H.schema
   in
-  List.iter (Mv_core.Registry.add_prebuilt registry) (H.take nviews w.H.views);
+  let views = H.take nviews w.H.views in
+  List.iter (Mv_core.Registry.add_prebuilt registry) views;
   Mv_relalg.Intern.freeze ();
   (* counter pass: per-level flow and the candidate totals. Sharded over
      [domains] like the timed passes (chunked, so each pre-analyzed query —
@@ -62,11 +90,15 @@ let run_plan ?(domains = 1) ~backjoins ~nviews (w : H.workload)
     candidates;
     wall_time_s = wall /. float_of_int timed_passes;
     levels;
+    write_p50_s = time_writes registry views;
   }
 
 let print_result ~nviews (r : plan_result) =
-  Printf.printf "\n%4d views, %s: %d searches, %d candidates total, %.5fs\n"
-    nviews r.plan_name r.searches r.candidates r.wall_time_s;
+  Printf.printf
+    "\n%4d views, %s: %d searches, %d candidates total, %.5fs, \
+     drop+add p50 %.1fus\n"
+    nviews r.plan_name r.searches r.candidates r.wall_time_s
+    (r.write_p50_s *. 1e6);
   Printf.printf "  %-28s %12s %12s %9s\n" "level" "entered" "passed" "kept";
   List.iter
     (fun (f : H.level_flow) ->
@@ -83,6 +115,10 @@ let to_json (r : plan_result) =
       ("candidates", J.Int r.candidates);
       ("wall_time_s", J.Float r.wall_time_s);
       ("levels", Mv_experiments.Report.level_flow_json r.levels);
+      ( "write",
+        J.Obj
+          [ ("cycles", J.Int write_cycles); ("p50_s", J.Float r.write_p50_s) ]
+      );
     ]
 
 let plans_json results =

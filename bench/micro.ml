@@ -53,7 +53,8 @@ let registry_1000 =
 
 let registry_1000_nofilter =
   let r = Mv_core.Registry.create ~use_filter:false schema in
-  List.iter (Mv_core.Registry.add_prebuilt r) registry_1000.Mv_core.Registry.views;
+  List.iter (Mv_core.Registry.add_prebuilt r)
+    (Mv_core.Registry.views registry_1000);
   r
 
 let query_pred =

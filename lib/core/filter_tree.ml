@@ -61,27 +61,27 @@ let backjoin_plan =
     (P_split (P_bucket, agg))
 
 type node =
-  | Bucket of { mutable views : View.t list }
+  | Bucket of View.t list
   | Agg_split of { spj : node; agg : node }
   | Level of {
       level : level;
       rest : plan;
       lattice : node Lattice.t;
-      mutable nviews : int;
+      nviews : int;
           (** views in this subtree — lets a search report how many
               candidates each level received and passed on without ever
               enumerating them *)
     }
 
-let rec new_node = function
-  | P_bucket -> Bucket { views = [] }
-  | P_split (ps, pa) -> Agg_split { spj = new_node ps; agg = new_node pa }
+let rec empty_node = function
+  | P_bucket -> Bucket []
+  | P_split (ps, pa) -> Agg_split { spj = empty_node ps; agg = empty_node pa }
   | P_level (level, rest) ->
-      Level { level; rest; lattice = Lattice.create (); nviews = 0 }
+      Level { level; rest; lattice = Lattice.empty; nviews = 0 }
 
 (* Views under a node: O(1) at levels, O(bucket size) at the leaves. *)
 let rec views_under = function
-  | Bucket b -> List.length b.views
+  | Bucket views -> List.length views
   | Agg_split s -> views_under s.spj + views_under s.agg
   | Level l -> l.nviews
 
@@ -99,10 +99,12 @@ type obs_handles = {
   h_strong_out : Mv_obs.Instrument.counter;
 }
 
+(* Every version of a tree shares its ancestors' handle cell: a write
+   replaces [root] only, so the resolved counters survive churn. *)
 type t = { plan : plan; root : node; handles : obs_handles option Atomic.t }
 
-let create ?(plan = default_plan) () =
-  { plan; root = new_node plan; handles = Atomic.make None }
+let empty ?(plan = default_plan) () =
+  { plan; root = empty_node plan; handles = Atomic.make None }
 
 let level_index = function
   | Hubs -> 0
@@ -191,54 +193,59 @@ let strong_range_ok (qi : query_info) (v : View.t) =
     (fun cls -> not (Bitset.inter_empty cls qi.extended_range_cols))
     v.View.keys.View.range_classes
 
-(* ---- insertion ---- *)
+(* ---- persistent add / remove ----
 
-let rec insert_node node (v : View.t) =
+   A write rebuilds only the view's path: each level on it gets a new
+   lattice (a copy of that one lattice, {!Lattice.add}/{!Lattice.remove})
+   whose changed key points at the rebuilt child, and every other subtree
+   is shared with the previous version. A lattice key whose subtree
+   emptied is removed, so a long-lived registry that churns views never
+   accumulates dead index nodes. *)
+
+let rec add_node node (v : View.t) =
   match node with
-  | Bucket b -> b.views <- v :: b.views
+  | Bucket views -> Bucket (v :: views)
   | Agg_split s ->
-      insert_node (if View.is_aggregate v then s.agg else s.spj) v
+      if View.is_aggregate v then Agg_split { s with agg = add_node s.agg v }
+      else Agg_split { s with spj = add_node s.spj v }
   | Level l ->
-      l.nviews <- l.nviews + 1;
       let key = view_key l.level v in
-      let ln = Lattice.insert l.lattice key in
       let child =
-        match ln.Lattice.payload with
-        | Some c -> c
-        | None ->
-            let c = new_node l.rest in
-            ln.Lattice.payload <- Some c;
-            c
+        match Lattice.find_exact l.lattice key with
+        | Some ln -> ln.Lattice.payload
+        | None -> empty_node l.rest
       in
-      insert_node child v
+      Level
+        {
+          l with
+          lattice = Lattice.add l.lattice key (add_node child v);
+          nviews = l.nviews + 1;
+        }
 
-let insert t v = insert_node t.root v
+let add t v = { t with root = add_node t.root v }
 
-(* Removal is fully in place: the view leaves its bucket, every level on
-   its path decrements its subtree count, and a lattice key whose subtree
-   just emptied is deleted ({!Lattice.delete} relinks subset/superset
-   edges around it) — so a long-lived registry that churns views never
-   accumulates dead index nodes and never needs a rebuild. *)
 let rec remove_node node (v : View.t) =
   match node with
-  | Bucket b ->
-      b.views <- List.filter (fun x -> x.View.name <> v.View.name) b.views
-  | Agg_split s -> remove_node (if View.is_aggregate v then s.agg else s.spj) v
+  | Bucket views ->
+      Bucket (List.filter (fun x -> x.View.name <> v.View.name) views)
+  | Agg_split s ->
+      if View.is_aggregate v then Agg_split { s with agg = remove_node s.agg v }
+      else Agg_split { s with spj = remove_node s.spj v }
   | Level l -> (
       let key = view_key l.level v in
       match Lattice.find_exact l.lattice key with
-      | None -> ()
-      | Some ln -> (
-          match ln.Lattice.payload with
-          | None -> ()
-          | Some child ->
-              let before = views_under child in
-              remove_node child v;
-              let after = views_under child in
-              l.nviews <- l.nviews - (before - after);
-              if after = 0 then Lattice.delete l.lattice key))
+      | None -> node
+      | Some ln ->
+          let child = remove_node ln.Lattice.payload v in
+          let left = views_under child in
+          let lattice =
+            if left = 0 then Lattice.remove l.lattice key
+            else Lattice.add l.lattice key child
+          in
+          let removed = views_under ln.Lattice.payload - left in
+          Level { l with lattice; nviews = l.nviews - removed })
 
-let remove t v = remove_node t.root v
+let remove t v = { t with root = remove_node t.root v }
 
 (* ---- search ---- *)
 
@@ -248,7 +255,7 @@ let remove t v = remove_node t.root v
    pruning breakdown (Figures 6-7). *)
 let rec search_node ?record node (qi : query_info) acc =
   match node with
-  | Bucket b -> List.rev_append b.views acc
+  | Bucket views -> List.rev_append views acc
   | Agg_split s ->
       let acc = search_node ?record s.spj qi acc in
       if qi.is_aggregate then search_node ?record s.agg qi acc else acc
@@ -261,17 +268,13 @@ let rec search_node ?record node (qi : query_info) acc =
           let out =
             List.fold_left
               (fun n (ln : node Lattice.node) ->
-                match ln.Lattice.payload with
-                | Some child -> n + views_under child
-                | None -> n)
+                n + views_under ln.Lattice.payload)
               0 hits
           in
           f l.level ~in_:l.nviews ~out);
       List.fold_left
         (fun acc (ln : node Lattice.node) ->
-          match ln.Lattice.payload with
-          | Some child -> search_node ?record child qi acc
-          | None -> acc)
+          search_node ?record ln.Lattice.payload qi acc)
         acc hits
 
 let level_counter obs level suffix =
@@ -313,9 +316,15 @@ let handles_for t obs =
       Atomic.set t.handles (Some h);
       h
 
-(* Candidate views for the analyzed query expression. With [obs], bump
-   [filter_tree.searches], per-level [filter_tree.level.<name>.in/out]
-   and the post-navigation [filter_tree.strong_range.in/out] counters. *)
+(* Candidate views for the analyzed query expression, sorted by name. With
+   [obs], bump [filter_tree.searches], per-level
+   [filter_tree.level.<name>.in/out] and the post-navigation
+   [filter_tree.strong_range.in/out] counters.
+
+   The navigation order follows lattice ids and bucket order, which depend
+   on the add/drop history; the optimizer lets the first of two equal-cost
+   substitutes win, so the result is sorted to make plans a function of
+   the population alone. *)
 let candidates ?obs t (q : A.t) : View.t list =
   let qi = query_info q in
   let handles = Option.map (handles_for t) obs in
@@ -337,7 +346,7 @@ let candidates ?obs t (q : A.t) : View.t list =
   | Some h ->
       Mv_obs.Instrument.add h.h_strong_in (List.length navigated);
       Mv_obs.Instrument.add h.h_strong_out (List.length survivors));
-  survivors
+  List.sort (fun a b -> String.compare a.View.name b.View.name) survivors
 
 (* ---- provenance ---- *)
 
@@ -399,10 +408,8 @@ let rec node_count = function
   | Level l ->
       List.fold_left
         (fun acc (ln : node Lattice.node) ->
-          acc
-          + match ln.Lattice.payload with Some c -> node_count c | None -> 0)
+          acc + node_count ln.Lattice.payload)
         (Lattice.size l.lattice)
         (Lattice.nodes l.lattice)
 
 let stats t = node_count t.root
-let plan t = t.plan

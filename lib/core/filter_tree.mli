@@ -6,7 +6,12 @@
     output expressions, output columns, residual predicates, range
     constraints; aggregation views get two more levels (grouping
     expressions, grouping columns) while SPJ views terminate early, since
-    an aggregation view can never answer an SPJ query. *)
+    an aggregation view can never answer an SPJ query.
+
+    A tree is an immutable value: {!add} and {!remove} return a new tree
+    that shares every subtree off the changed view's path with its
+    argument, so a published tree can be searched from any number of
+    domains while the next version is built. *)
 
 type level =
   | Hubs
@@ -34,7 +39,7 @@ val backjoin_plan : plan
 
 type t
 
-val create : ?plan:plan -> unit -> t
+val empty : ?plan:plan -> unit -> t
 
 type query_info = {
   source_tables : Mv_util.Bitset.t;
@@ -59,19 +64,21 @@ val strong_range_ok : query_info -> View.t -> bool
 (** The full range-constraint condition of section 4.2.5, applied per
     candidate after the tree navigates by the weak condition. *)
 
-val insert : t -> View.t -> unit
-(** In-place: new lattice keys are linked into the level DAGs as needed
-    (interner growth takes the mutex slow path after a freeze). Requires
-    exclusive access — quiesce concurrent searches first. *)
+val add : t -> View.t -> t
+(** The tree with the view indexed: the lattices on its path are copied
+    (new keys linked in), everything else is shared. The view's name must
+    not already be in the tree. *)
 
-val remove : t -> View.t -> unit
-(** In-place: decrements subtree counts along the view's path and deletes
-    lattice keys whose subtree emptied, so churn never accumulates dead
-    nodes. Requires exclusive access, like {!insert}. *)
+val remove : t -> View.t -> t
+(** The tree without the view (matched by name): the lattices on its path
+    are copied, and a lattice key whose subtree emptied is removed, so
+    churn never accumulates dead nodes. *)
 
 val candidates :
   ?obs:Mv_obs.Registry.t -> t -> Mv_relalg.Analysis.t -> View.t list
-(** With [obs], each search bumps [filter_tree.searches], the per-level
+(** The candidate views, sorted by name — an order that depends on the
+    population only, never on the add/drop history that built the tree.
+    With [obs], each search bumps [filter_tree.searches], the per-level
     [filter_tree.level.<name>.in]/[.out] candidate counters (how many
     views entered the level's nodes and how many survived into their
     children), and [filter_tree.strong_range.in]/[.out] for the
@@ -79,11 +86,6 @@ val candidates :
 
 val stats : t -> int
 (** Total lattice nodes across all levels. *)
-
-val plan : t -> plan
-(** The navigation plan this tree was created with — what a from-scratch
-    rebuild of the same population must use to index identically (the
-    registry's snapshot publication relies on this). *)
 
 (** {1 Rejection provenance ("why-not")}
 

@@ -1,38 +1,46 @@
 (** The lattice index of section 4.1: keys are sets organized in a DAG by
     the subset partial order, supporting pruned subset/superset search and
     any monotone predicate traversal. Keys are interned bitsets
-    ({!Mv_util.Bitset}); exact lookup hashes the key words directly.
+    ({!Mv_util.Bitset}).
 
-    Searches are read-only and deduplicate visited nodes with per-search
-    scratch state (pooled per OCaml domain), so concurrent searches of one
-    lattice from many domains are safe, as are reentrant searches (a
-    predicate re-entering the lattice). Mutations ([insert]/[delete])
-    require exclusive access. *)
+    A lattice is an immutable value: {!add} and {!remove} return a new
+    lattice and leave their argument untouched, so a reader holding one
+    version may search it while writers build the next. Node ids are
+    dense — always exactly [0 .. size - 1] — because a removal moves the
+    last node into the freed slot; the per-search scratch therefore never
+    outgrows the largest live lattice, however long the churn.
+
+    Searches deduplicate visited nodes with per-search scratch state
+    (pooled per OCaml domain), so concurrent searches of one lattice from
+    many domains are safe, as are reentrant searches (a predicate
+    re-entering the lattice). *)
 
 module Bitset = Mv_util.Bitset
 
-module Index : Hashtbl.S with type key = Bitset.t
-
 type 'a node = {
-  id : int;
+  id : int;  (** position in the lattice, [0 .. size - 1] *)
   key : Bitset.t;
-  mutable payload : 'a option;
-  mutable supers : 'a node list;  (** minimal strict supersets *)
-  mutable subs : 'a node list;  (** maximal strict subsets *)
+  payload : 'a;
+  supers : int list;  (** ids of the minimal strict supersets *)
+  subs : int list;  (** ids of the maximal strict subsets *)
 }
 
-type 'a t = {
-  mutable tops : 'a node list;  (** nodes without supersets *)
-  mutable roots : 'a node list;  (** nodes without subsets *)
-  index : 'a node Index.t;
-  mutable next_id : int;
-}
+type 'a t
 
-val create : unit -> 'a t
+val empty : 'a t
 
 val size : 'a t -> int
 
 val nodes : 'a t -> 'a node list
+
+val node : 'a t -> int -> 'a node
+(** The node with this id. @raise Invalid_argument when out of range. *)
+
+val tops : 'a t -> 'a node list
+(** Nodes without supersets. *)
+
+val roots : 'a t -> 'a node list
+(** Nodes without subsets. *)
 
 val find_exact : 'a t -> Bitset.t -> 'a node option
 
@@ -47,10 +55,13 @@ val supersets_of : 'a t -> Bitset.t -> 'a node list
 
 val subsets_of : 'a t -> Bitset.t -> 'a node list
 
-val insert : 'a t -> Bitset.t -> 'a node
-(** Insert (or return the existing node), relinking minimal-superset /
-    maximal-subset edges and removing those made transitive. *)
+val add : 'a t -> Bitset.t -> 'a -> 'a t
+(** The lattice with [key] bound to the payload: a new key is linked
+    between its maximal subsets and minimal supersets (edges made
+    transitive are dropped); an existing key only has its payload
+    replaced. Copies this one lattice, never the payloads. *)
 
-val delete : 'a t -> Bitset.t -> unit
-(** Remove a key, reconnecting its subsets to its supersets where no other
-    path exists. *)
+val remove : 'a t -> Bitset.t -> 'a t
+(** The lattice without [key] (the argument itself when absent): its
+    subsets are reconnected to its supersets where no other path exists,
+    and the last node takes over its id. *)

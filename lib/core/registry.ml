@@ -25,9 +25,23 @@ type stats = {
           is on the [rule.time] timer of {!field-obs} *)
 }
 
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
+
+(* The population: name-keyed, so lookup, add and drop cost O(log views),
+   plus a sequence number per view so that listing keeps registration
+   order. *)
+type views = {
+  by_name : (int * View.t) Smap.t;  (** name -> (sequence number, view) *)
+  by_seq : View.t Imap.t;
+  next_seq : int;
+}
+
+let no_views = { by_name = Smap.empty; by_seq = Imap.empty; next_seq = 0 }
+
 type snapshot = {
   snap_epoch : int;
-  snap_views : View.t list;
+  snap_views : views;
   snap_tree : Filter_tree.t;
 }
 
@@ -36,25 +50,16 @@ type t = {
   relaxed_nulls : bool;
   backjoins : bool;
   mutable use_filter : bool;
-  mutable views : View.t list;  (** insertion order *)
-  tree : Filter_tree.t;
   obs : Obs.t;
   health : Health.t;
   tracing : bool;
-  epoch : int Atomic.t;
-      (** bumped by every effective add/drop; caches key their entries by
-          it (see [Mv_opt.Match_cache]). Atomic so reader domains see a
-          fresh value without a lock. *)
-  snap : snapshot option Atomic.t;
-      (** RCU publication slot, [None] until {!snapshot} first activates
-          it (DESIGN.md §10). Once active, every effective mutation
-          republishes a freshly built (epoch, views, tree) triple with one
-          [Atomic.set] — readers that pin a snapshot see an internally
-          consistent registry state with a single [Atomic.get] and never
-          touch a mutex. *)
-  write : Mutex.t;
-      (** serializes mutations (and the first snapshot publication); never
-          taken on any read path. *)
+  state : snapshot Atomic.t;
+      (** the one registry state (DESIGN.md §10): every effective add/drop
+          builds the next (epoch, views, tree) record under [write] and
+          publishes it with one [Atomic.set]; a reader pins one with a
+          single [Atomic.get] and sees an internally consistent registry
+          that nothing ever mutates. *)
+  write : Mutex.t;  (** serializes writers; never taken on a read path *)
 }
 
 exception Duplicate_view of string
@@ -66,68 +71,41 @@ let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
     | Some o -> o
     | None -> Obs.create ~trace_capacity:(if tracing then 256 else 0) ()
   in
+  let plan =
+    if backjoins then Filter_tree.backjoin_plan else Filter_tree.default_plan
+  in
   {
     schema;
     relaxed_nulls;
     backjoins;
     use_filter;
-    views = [];
-    tree =
-      Filter_tree.create
-        ~plan:
-          (if backjoins then Filter_tree.backjoin_plan
-           else Filter_tree.default_plan)
-        ();
     obs;
     health = Health.create ();
     tracing;
-    epoch = Atomic.make 0;
-    snap = Atomic.make None;
+    state =
+      Atomic.make
+        {
+          snap_epoch = 0;
+          snap_views = no_views;
+          snap_tree = Filter_tree.empty ~plan ();
+        };
     write = Mutex.create ();
   }
 
-let epoch t = Atomic.get t.epoch
+let snapshot t = Atomic.get t.state
 
-(* ---- RCU snapshot publication (DESIGN.md §10) ----
+let epoch t = (snapshot t).snap_epoch
 
-   The master [views]/[tree] stay mutated in place (cheap O(delta) under
-   bulk construction); the published snapshot is a from-scratch rebuild of
-   the current population into a FRESH tree, so nothing a reader pinned
-   can ever be mutated under it. Publication is one [Atomic.set] of the
-   whole (epoch, views, tree) record — the triple is always internally
-   consistent. Writers pay the rebuild (classic RCU writer-pays); readers
-   pay one [Atomic.get]. The slot stays [None] (and mutations skip the
-   rebuild entirely) until the first [snapshot] call activates it, so
-   registries that never serve concurrently keep O(delta) mutations. *)
+(* The registry state a read runs against: the caller's pinned snapshot or
+   the published one. *)
+let current ?snap t = match snap with Some s -> s | None -> snapshot t
 
-let build_snapshot t =
-  let tree = Filter_tree.create ~plan:(Filter_tree.plan t.tree) () in
-  List.iter (Filter_tree.insert tree) t.views;
-  (* extend the interners' published lock-free snapshot over any symbols
-     the new views introduced, so reader-side key building after this
-     publication stays on the frozen fast path *)
-  Mv_relalg.Intern.freeze ();
-  { snap_epoch = Atomic.get t.epoch; snap_views = t.views; snap_tree = tree }
+(* The population of a state in registration order, and its size. *)
+let listed s = List.of_seq (Seq.map snd (Imap.to_seq s.snap_views.by_seq))
 
-(* Call with [t.write] held, after the master state reached its new
-   epoch. A no-op until the slot is activated. *)
-let republish t =
-  if Atomic.get t.snap <> None then Atomic.set t.snap (Some (build_snapshot t))
+let population s = Smap.cardinal s.snap_views.by_name
 
-let snapshot t =
-  match Atomic.get t.snap with
-  | Some s -> s
-  | None ->
-      (* first call: activate the slot under the write lock (competing
-         mutations quiesce; competing first-snapshot calls publish twice,
-         last wins, both results are current) *)
-      Mutex.protect t.write (fun () ->
-          match Atomic.get t.snap with
-          | Some s -> s
-          | None ->
-              let s = build_snapshot t in
-              Atomic.set t.snap (Some s);
-              s)
+let views ?snap t = listed (current ?snap t)
 
 let stats t =
   {
@@ -138,68 +116,71 @@ let stats t =
     rule_time = Mv_obs.Instrument.cpu (Obs.timer t.obs "rule.time");
   }
 
-let view_count t = List.length t.views
+let view_count t = population (snapshot t)
 
-let find_view t name = List.find_opt (fun v -> v.View.name = name) t.views
+let find_view t name =
+  Option.map snd (Smap.find_opt name (snapshot t).snap_views.by_name)
 
-(* Define (and index) a materialized view. The duplicate check, the master
-   mutation, the epoch bump and the republication all happen under the
-   write lock, so concurrent writers serialize and an exception
+(* Build and publish the next state under the write lock: [f] maps the
+   current state to the new (views, tree) pair, or [None] for a no-op
+   (which publishes nothing and keeps the epoch). An exception from [f]
    (Duplicate_view, View.Rejected) leaves the registry untouched. *)
-let add_view t ?(row_count = 0) ?(indexes = []) ~name spjg : View.t =
+let publish t f =
   Mutex.protect t.write (fun () ->
-      if find_view t name <> None then raise (Duplicate_view name);
+      let s = Atomic.get t.state in
+      match f s with
+      | None -> ()
+      | Some (snap_views, snap_tree) ->
+          Atomic.set t.state
+            { snap_epoch = s.snap_epoch + 1; snap_views; snap_tree })
+
+let add_locked (s : snapshot) (view : View.t) =
+  let name = view.View.name in
+  let vs = s.snap_views in
+  if Smap.mem name vs.by_name then raise (Duplicate_view name);
+  (* extend the interners' lock-free snapshot over any symbols the view
+     introduced (a no-op when it introduced none), so reader-side key
+     building stays on the frozen fast path *)
+  Mv_relalg.Intern.freeze ();
+  Some
+    ( {
+        by_name = Smap.add name (vs.next_seq, view) vs.by_name;
+        by_seq = Imap.add vs.next_seq view vs.by_seq;
+        next_seq = vs.next_seq + 1;
+      },
+      Filter_tree.add s.snap_tree view )
+
+(* Define (and index) a materialized view. *)
+let add_view t ?(row_count = 0) ?(indexes = []) ~name spjg : View.t =
+  let created = ref None in
+  publish t (fun s ->
+      if Smap.mem name s.snap_views.by_name then raise (Duplicate_view name);
       let view =
         View.create ~relaxed_nulls:t.relaxed_nulls ~row_count ~indexes
           t.schema ~name spjg
       in
-      t.views <- t.views @ [ view ];
-      Filter_tree.insert t.tree view;
-      Atomic.incr t.epoch;
-      republish t;
-      view)
+      created := Some view;
+      add_locked s view);
+  Option.get !created
 
 (* Register an already-created view descriptor (lets experiment sweeps
    share one descriptor across many registries instead of re-analyzing). *)
-let add_prebuilt t (view : View.t) =
-  Mutex.protect t.write (fun () ->
-      if find_view t view.View.name <> None then
-        raise (Duplicate_view view.View.name);
-      t.views <- t.views @ [ view ];
-      Filter_tree.insert t.tree view;
-      Atomic.incr t.epoch;
-      republish t)
+let add_prebuilt t (view : View.t) = publish t (fun s -> add_locked s view)
 
-(* Drop a view: filter-tree removal prunes lattice keys in place (no
-   rebuild), and the epoch bump lazily invalidates every cache entry
-   computed against the old population. A missing name is a no-op and
-   does NOT advance the epoch (or republish). *)
+(* Drop a view. A missing name is a no-op and does NOT advance the epoch. *)
 let remove_view t name =
-  Mutex.protect t.write (fun () ->
-      match find_view t name with
-      | None -> ()
-      | Some v ->
-          t.views <- List.filter (fun x -> x.View.name <> name) t.views;
-          Filter_tree.remove t.tree v;
-          Atomic.incr t.epoch;
-          republish t)
-
-(* The registry state a read runs against: the caller's pinned snapshot,
-   the published one, or (pre-activation) an ephemeral view of the master
-   — same fields, zero copies, so unactivated registries behave exactly
-   as before. *)
-let current ?snap t =
-  match snap with
-  | Some s -> s
-  | None -> (
-      match Atomic.get t.snap with
-      | Some s -> s
-      | None ->
-          {
-            snap_epoch = Atomic.get t.epoch;
-            snap_views = t.views;
-            snap_tree = t.tree;
-          })
+  publish t (fun s ->
+      let vs = s.snap_views in
+      match Smap.find_opt name vs.by_name with
+      | None -> None
+      | Some (seq, v) ->
+          Some
+            ( {
+                vs with
+                by_name = Smap.remove name vs.by_name;
+                by_seq = Imap.remove seq vs.by_seq;
+              },
+              Filter_tree.remove s.snap_tree v ))
 
 (* Candidate views for a query expression: via the filter tree, or a
    linear scan when the tree is disabled (the paper's "No Filter"
@@ -207,7 +188,7 @@ let current ?snap t =
 let candidates ?snap t (q : A.t) =
   let s = current ?snap t in
   if t.use_filter then Filter_tree.candidates ~obs:t.obs s.snap_tree q
-  else s.snap_views
+  else listed s
 
 (* At most this many view names are spelled out in a span attribute; the
    rest collapse into a count so traces of 1000-view registries stay
@@ -248,7 +229,7 @@ let record_stage_notes snap sub (q : A.t) =
           let _, pruned = tally s in
           pruned := v :: !pruned
       | Filter_tree.Passed -> ())
-    snap.snap_views;
+    (listed snap);
   List.iter
     (fun s ->
       let key = Filter_tree.stage_name s in
@@ -285,7 +266,7 @@ let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
         if sub <> None then begin
           Mv_obs.Span.annotate sub (fun () ->
               [
-                ("population", Mv_obs.Span.Int (List.length s.snap_views));
+                ("population", Mv_obs.Span.Int (population s));
                 ("candidates", Mv_obs.Span.Int (List.length cands));
                 ("indexed", Mv_obs.Span.Bool t.use_filter);
               ]);
@@ -321,7 +302,7 @@ let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
     Mv_obs.Trace.record (Obs.trace t.obs) "rule"
       [
         ("tables", Mv_obs.Json.String (Mv_util.Sset.to_string q.A.table_set));
-        ("population", Mv_obs.Json.Int (List.length s.snap_views));
+        ("population", Mv_obs.Json.Int (population s));
         ("candidates", Mv_obs.Json.Int (List.length cands));
         ("matched", Mv_obs.Json.Int (List.length subs));
         ( "views",
@@ -358,7 +339,7 @@ let mark_stale t ~tables : int =
         n + 1
       end
       else n)
-    0 t.views
+    0 (views t)
 
 (* ---- why-not ---- *)
 
@@ -393,7 +374,7 @@ let explain ?snap ?(fresh_only = false) t (q : A.t) :
           with
           | Ok sub -> (v, Matched sub)
           | Error e -> (v, Rejected e)))
-    s.snap_views
+    (listed s)
 
 let find_substitutes_spjg t (spjg : Mv_relalg.Spjg.t) =
   find_substitutes t (A.analyze t.schema spjg)
@@ -409,7 +390,7 @@ let find_union_substitutes ?snap ?(fresh_only = false) t (q : A.t) :
       (fun v ->
         Mv_util.Bitset.subset q.A.table_key v.View.keys.View.source_tables
         && not (fresh_only && View.is_stale v))
-      (current ?snap t).snap_views
+      (views ?snap t)
   in
   Union_match.find ~relaxed_nulls:t.relaxed_nulls ~backjoins:t.backjoins q
     coarse

@@ -18,16 +18,21 @@ type stats = {
           is on the [rule.time] timer *)
 }
 
-(** An immutable, epoch-stamped view of the registry: the population and
-    a filter tree indexing exactly that population, consistent with each
-    other by construction (published together with one [Atomic.set]).
-    Nothing reachable from a snapshot is ever mutated — add/drop build and
-    publish a fresh one — so a reader may hold it across an arbitrary
-    amount of work with no lock (DESIGN.md §10). *)
+type views
+(** The view population: name-keyed (lookup, add and drop in
+    O(log views)) and remembering registration order. List it with
+    {!val-views}. *)
+
+(** The registry state: the population and a filter tree indexing exactly
+    that population, stamped with the epoch it was published at. It is
+    the only state the registry keeps. Nothing reachable from a snapshot
+    is ever mutated — add/drop build the next one by path copying and
+    publish it with one [Atomic.set] — so a reader may hold it across an
+    arbitrary amount of work with no lock (DESIGN.md §10). *)
 type snapshot = {
   snap_epoch : int;  (** the registry epoch this state corresponds to *)
-  snap_views : View.t list;  (** insertion order, like [views] *)
-  snap_tree : Filter_tree.t;  (** a private tree over [snap_views] *)
+  snap_views : views;
+  snap_tree : Filter_tree.t;  (** indexes exactly [snap_views] *)
 }
 
 type t = {
@@ -39,28 +44,18 @@ type t = {
   mutable use_filter : bool;
       (** [false] = the paper's "No Filter" configuration: candidates are
           all views, tested linearly *)
-  mutable views : View.t list;
-  tree : Filter_tree.t;
   obs : Mv_obs.Registry.t;
   health : Health.t;
       (** the per-view ledger: candidate/matched recorded here by the
           rule, staleness flips by {!mark_stale}; higher layers attribute
           chosen/benefit (optimizer), maintenance ([Mv_engine.Ivm]) and
           cache hits (serving front end). Keyed by view name, so accounts
-          survive churn and republication. *)
+          survive churn. *)
   tracing : bool;
       (** append a [rule] trace event per invocation (requires an [obs]
           with a nonzero trace capacity; [create ~tracing:true] makes one) *)
-  epoch : int Atomic.t;
-      (** registry epoch: bumped by every effective {!add_view} /
-          {!add_prebuilt} / {!remove_view}. Caches stamp their entries with
-          it and treat a mismatch as stale, so an add/drop invalidates
-          without a global rebuild ({!Mv_opt.Match_cache}, DESIGN.md §8).
-          Read through {!val-epoch}. *)
-  snap : snapshot option Atomic.t;
-      (** the published snapshot; [None] until {!val-snapshot} first
-          activates RCU publication. Internal — read through
-          {!val-snapshot}. *)
+  state : snapshot Atomic.t;
+      (** the published state. Internal — read through {!val-snapshot}. *)
   write : Mutex.t;
       (** serializes mutations; no read path ever takes it *)
 }
@@ -80,21 +75,20 @@ val stats : t -> stats
 (** Snapshot of the paper's counters, read from the instruments. *)
 
 val epoch : t -> int
-(** The current registry epoch (0 for an empty registry). Monotonically
-    increasing; changes exactly when the view population changes. *)
+(** The current registry epoch (0 for an empty registry): bumped by every
+    effective {!add_view} / {!add_prebuilt} / {!remove_view}. Caches stamp
+    their entries with it and treat a mismatch as stale, so an add/drop
+    invalidates without a global rebuild ({!Mv_opt.Match_cache},
+    DESIGN.md §8). *)
 
 val snapshot : t -> snapshot
-(** The current published snapshot — wait-free (one [Atomic.get]) on the
-    hot path. The first call activates RCU publication: it builds the
-    initial snapshot under the write lock, and from then on every
-    effective mutation rebuilds and republishes (writers pay the O(views)
-    rebuild, readers never block — DESIGN.md §10). Until that first call,
-    mutations stay O(delta) and reads run against the master state, so
-    purely sequential users pay nothing.
+(** The current state — wait-free, one [Atomic.get]. Pinning the result
+    and passing it as [?snap] to the read operations below runs them all
+    against one registry state, regardless of concurrent add/drop. *)
 
-    Pinning the result and passing it as [?snap] to the read operations
-    below runs them all against one registry state, regardless of
-    concurrent add/drop. *)
+val views : ?snap:snapshot -> t -> View.t list
+(** The population in registration order (a dropped and re-added view
+    moves to the end). *)
 
 val view_count : t -> int
 
@@ -116,17 +110,17 @@ val add_prebuilt : t -> View.t -> unit
     the experiment sweeps). *)
 
 val remove_view : t -> string -> unit
-(** Drop a view by name: in-place filter-tree removal (empty lattice keys
-    are deleted, no rebuild) plus an epoch bump. Unknown names are a no-op
-    and do not advance the epoch (and do not republish). *)
+(** Drop a view by name and publish the next state: only the filter-tree
+    lattices on the view's path are copied (emptied keys are removed).
+    Unknown names are a no-op and do not advance the epoch. *)
 
 val candidates : ?snap:snapshot -> t -> Mv_relalg.Analysis.t -> View.t list
 
 val mark_stale : t -> tables:string list -> int
 (** Set the staleness mark on every registered view sourcing one of
     [tables]; returns how many views newly became stale. Marks live on the
-    shared descriptors (an atomic bool), so no epoch bump or snapshot
-    republication happens — matching is unchanged unless a caller passes
+    shared descriptors (an atomic bool), so no epoch bump or new state is
+    published — matching is unchanged unless a caller passes
     [fresh_only]. Clear per view with {!View.mark_fresh} after a refresh
     (see [Mv_engine.Ivm]). *)
 
@@ -158,8 +152,7 @@ val find_substitutes :
     substitute per matching view. Updates {!stats}.
 
     Without [snap], each invocation runs against {!val-snapshot}'s current
-    value (or the master state before activation); with it, against
-    exactly the pinned state — what lets a whole optimization see one
+    value; with it, against exactly the pinned state — what lets a whole optimization see one
     consistent registry under concurrent churn.
 
     [fresh_only] (default [false]) additionally rejects stale views with

@@ -149,8 +149,8 @@ type measurement = {
 }
 
 val run : ?cfg:cfg -> Harness.workload -> measurement
-(** Build a registry over the first [cfg.nviews] workload views, activate
-    snapshot publication, optionally warm the shared cache, then run
+(** Build a registry over the first [cfg.nviews] workload views,
+    optionally warm the shared cache, then run
     [cfg.domains] open-loop serving domains plus one churn-mutator domain
     for [cfg.duration] seconds and replay the sampled observations. The
     arrival schedules and the mutation sequence are deterministic given

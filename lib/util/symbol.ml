@@ -103,19 +103,24 @@ let name d id =
 
 (* Publish an immutable snapshot of the current table. Idempotent: a later
    freeze replaces the snapshot with a larger one (useful after further
-   single-threaded growth). The snapshot is built under the lock, so it is
+   single-threaded growth), and one that finds nothing new since the last
+   returns without copying. The snapshot is built under the lock, so it is
    internally consistent; [Atomic.set] makes its interior visible to other
    domains before the pointer is. *)
 let freeze d =
   locked d (fun () ->
-      let f =
-        {
-          f_table = Hashtbl.copy d.table;
-          f_names = Array.sub d.names 0 d.count;
-          f_count = d.count;
-        }
-      in
-      Atomic.set d.frozen (Some f))
+      match Atomic.get d.frozen with
+      | Some f when f.f_count = d.count -> ()
+      | _ ->
+          Atomic.set d.frozen
+            (Some
+               {
+                 f_table = Hashtbl.copy d.table;
+                 f_names = Array.sub d.names 0 d.count;
+                 f_count = d.count;
+               }))
+
+let frozen d = Atomic.get d.frozen
 
 let is_frozen d = Atomic.get d.frozen <> None
 

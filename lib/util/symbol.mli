@@ -29,7 +29,15 @@ val freeze : domain -> unit
 (** Publish an immutable snapshot of the table: lookups that hit the
     snapshot stop taking the lock. Interning genuinely new strings keeps
     working (mutex-guarded); call again after further growth to extend the
-    lock-free set. Typically called once registry construction is done. *)
+    lock-free set. A freeze that finds nothing interned since the last one
+    keeps the published snapshot and copies nothing, so callers may freeze
+    after every write. *)
+
+type frozen
+
+val frozen : domain -> frozen option
+(** The published lock-free snapshot, if any (compare physically to see
+    whether a freeze replaced it). *)
 
 val is_frozen : domain -> bool
 

@@ -1,10 +1,11 @@
 (** Dynamic-registry tests: the epoch protocol and the model-based sweep.
 
-    The model: a registry mutated in place by interleaved add/drop ops must
-    be indistinguishable — identical candidate sets and substitutes — from
-    a registry rebuilt from scratch over the currently-live views after
-    every step. qcheck generates the op sequences and shrinks failures to a
-    minimal interleaving.
+    The model: a registry changed by interleaved add/drop ops must be
+    indistinguishable — identical candidate sets and substitutes — from a
+    registry rebuilt from scratch over the currently-live views after
+    every step. A pinned snapshot must stay exactly what it was while the
+    registry moves on. qcheck generates the op sequences and shrinks
+    failures to a minimal interleaving.
 
     The suite is named with a [prop_] prefix so the @runtest-quick alias
     picks it up (MVIEW_QCHECK_COUNT shrinks the case count). *)
@@ -32,9 +33,9 @@ let analyses =
     (let w = Lazy.force wl in
      List.map (A.analyze w.H.schema) w.H.queries)
 
-(* Candidate sets as sorted name lists: the incrementally-mutated tree may
-   enumerate in a different order than a scratch-built one, and order is
-   not part of the spec — the SET is. *)
+(* Candidate sets as sorted name lists: this model compares sets; the
+   order itself is checked by the pinned-snapshot property and the
+   history-free order unit below. *)
 let candidate_names reg qa =
   List.sort compare (List.map view_name (R.candidates reg qa))
 
@@ -155,27 +156,112 @@ let test_duplicate_add_raises () =
   Alcotest.(check int) "failed add leaves the epoch alone" epoch_before
     (R.epoch reg)
 
+(* ---------------------------------------------------------------- *)
+(* Pinned snapshots under churn                                     *)
+(* ---------------------------------------------------------------- *)
+
+let candidate_list ?snap reg qa =
+  List.map view_name (R.candidates ?snap reg qa)
+
+(* Pin a snapshot, run a random add/drop sequence, then ask the pinned
+   snapshot again: every query's candidate list — order included — must be
+   what it was at pinning time and what a registry built from scratch over
+   the snapshot's own population returns. *)
+let check_pinned (initial, pairs) =
+  let initial = List.sort_uniq compare (List.map (fun i -> i mod nviews) initial) in
+  let reg = scratch_of (List.map nth_view initial) in
+  let snap = R.snapshot reg in
+  let qas = Lazy.force analyses in
+  let before = List.map (candidate_list ~snap reg) qas in
+  List.iter
+    (fun (k, i) ->
+      let v = nth_view i in
+      if k mod 2 = 0 then (
+        if R.find_view reg (view_name v) = None then R.add_prebuilt reg v)
+      else R.remove_view reg (view_name v))
+    pairs;
+  let fresh = scratch_of (R.views ~snap reg) in
+  List.iteri
+    (fun j qa ->
+      let pinned = candidate_list ~snap reg qa in
+      if pinned <> List.nth before j then
+        QCheck.Test.fail_reportf "query %d: pinned candidates changed" j;
+      if pinned <> candidate_list fresh qa then
+        QCheck.Test.fail_reportf
+          "query %d: pinned {%s} <> scratch {%s}" j
+          (String.concat "," pinned)
+          (String.concat "," (candidate_list fresh qa)))
+    qas;
+  true
+
+let pinned_prop =
+  QCheck.Test.make
+    ~name:"dynamic registry: pinned snapshot unchanged by later add/drop"
+    ~count:(Helpers.qcheck_count 30)
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 nviews) small_nat)
+        (list_of_size (Gen.int_range 0 25) (pair small_nat small_nat)))
+    check_pinned
+
+(* Candidate order is a function of the population: a registry that went
+   through drops and re-adds lists candidates exactly like a scratch
+   registry over the same views. *)
+let test_candidate_order_history_free () =
+  let w = Lazy.force wl in
+  let views = H.take nviews w.H.views in
+  let reg = scratch_of views in
+  List.iter
+    (fun v ->
+      R.remove_view reg (view_name v);
+      R.add_prebuilt reg v)
+    (List.rev views);
+  let fresh = scratch_of views in
+  List.iter
+    (fun qa ->
+      Alcotest.(check (list string)) "same candidates, same order"
+        (candidate_list fresh qa) (candidate_list reg qa))
+    (Lazy.force analyses)
+
+let tree_nodes reg = FT.stats (R.snapshot reg).R.snap_tree
+
 (* Removing every view must return the filter tree to its empty-tree node
-   count: emptied lattice keys are deleted in place, so churn never
-   accumulates dead index nodes. *)
+   count: emptied lattice keys are removed, so churn never accumulates
+   dead index nodes. *)
 let test_tree_prunes_to_baseline () =
   let w = Lazy.force wl in
   let reg = R.create w.H.schema in
   let views = H.take 20 w.H.views in
-  let baseline = FT.stats reg.R.tree in
+  let baseline = tree_nodes reg in
   List.iter (R.add_prebuilt reg) views;
   Alcotest.(check bool) "indexing grew the tree" true
-    (FT.stats reg.R.tree > baseline);
+    (tree_nodes reg > baseline);
   List.iter (fun v -> R.remove_view reg (view_name v)) views;
   Alcotest.(check int) "all views gone" 0 (R.view_count reg);
   Alcotest.(check int) "lattice nodes pruned back to baseline" baseline
-    (FT.stats reg.R.tree);
+    (tree_nodes reg);
   (* and the emptied tree yields no candidates *)
   List.iter
     (fun qa ->
       Alcotest.(check int) "no candidates from an emptied registry" 0
         (List.length (R.candidates reg qa)))
     (Lazy.force analyses)
+
+(* 10k drop+add cycles leave the index exactly as large as a scratch
+   build over the same population. *)
+let test_churn_keeps_tree_size () =
+  let w = Lazy.force wl in
+  let views = H.take nviews w.H.views in
+  let reg = scratch_of views in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 10_000 do
+    let v = List.nth views (Random.State.int rng nviews) in
+    R.remove_view reg (view_name v);
+    R.add_prebuilt reg v
+  done;
+  Alcotest.(check int) "node count equals a scratch build"
+    (tree_nodes (scratch_of views))
+    (tree_nodes reg)
 
 let suite =
   [
@@ -187,5 +273,10 @@ let suite =
           test_duplicate_add_raises;
         Alcotest.test_case "drop prunes lattice nodes to baseline" `Quick
           test_tree_prunes_to_baseline;
+        Helpers.qtest pinned_prop;
+        Alcotest.test_case "candidate order ignores add/drop history" `Quick
+          test_candidate_order_history_free;
+        Alcotest.test_case "10k drop+add cycles keep the tree size" `Quick
+          test_churn_keeps_tree_size;
       ] );
   ]

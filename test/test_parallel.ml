@@ -291,7 +291,6 @@ let test_json_during_updates () =
 let test_concurrent_lattice_search () =
   let module Bitset = Mv_util.Bitset in
   let module Lattice = Mv_core.Lattice in
-  let t = Lattice.create () in
   (* all 6-bit sets with 1-3 elements: a dense DAG with many diamonds *)
   let sets =
     List.init 64 (fun n ->
@@ -304,7 +303,7 @@ let test_concurrent_lattice_search () =
            let c = List.length (Bitset.elements s) in
            c >= 1 && c <= 3)
   in
-  List.iter (fun s -> ignore (Lattice.insert t s)) sets;
+  let t = List.fold_left (fun t s -> Lattice.add t s ()) Lattice.empty sets in
   let probes = List.init 64 (fun n -> n) in
   let results_of probe =
     let key =

@@ -169,8 +169,7 @@ let check_equivalence_seed seed =
   List.iter
     (fun backjoins ->
       let plan = if backjoins then FT.backjoin_plan else FT.default_plan in
-      let tree = FT.create ~plan () in
-      List.iter (FT.insert tree) views;
+      let tree = List.fold_left FT.add (FT.empty ~plan ()) views in
       List.iter
         (fun q ->
           let qa = Mv_relalg.Analysis.analyze schema q in

@@ -194,6 +194,24 @@ let test_symbol_interner () =
        "Symbol.name: id 99 out of range for domain test-domain (size 2)")
     (fun () -> ignore (Mv_util.Symbol.name d 99))
 
+(* a freeze that finds nothing new keeps the published snapshot: the write
+   path freezes after every add without copying the vocabulary *)
+let test_symbol_freeze_noop () =
+  let module S = Mv_util.Symbol in
+  let d = S.create "freeze-domain" in
+  ignore (S.intern d "alpha");
+  S.freeze d;
+  let first = S.frozen d in
+  S.freeze d;
+  Alcotest.(check bool) "same frozen record" true (first == S.frozen d);
+  ignore (S.intern d "alpha");
+  S.freeze d;
+  Alcotest.(check bool) "re-interning adds nothing" true (first == S.frozen d);
+  ignore (S.intern d "beta");
+  S.freeze d;
+  Alcotest.(check bool) "a new symbol republishes" false (first == S.frozen d);
+  Alcotest.(check int) "frozen size" 2 (S.frozen_size d)
+
 let symbol_dense_prop =
   QCheck.Test.make ~name:"symbol: interning is a dense bijection" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 40) (string_gen_of_size (Gen.int_range 0 6) Gen.printable))
@@ -313,6 +331,8 @@ let suite =
         Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
         Alcotest.test_case "symbol interner" `Quick test_symbol_interner;
         Helpers.qtest symbol_dense_prop;
+        Alcotest.test_case "symbol freeze without news copies nothing" `Quick
+          test_symbol_freeze_noop;
         Alcotest.test_case "lru basics and eviction" `Quick test_lru_basics;
         Alcotest.test_case "lru recency: find promotes, peek does not" `Quick
           test_lru_recency;
